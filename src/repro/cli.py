@@ -800,8 +800,8 @@ def _cmd_report(args) -> int:
         )
         _configure_obs(args)
     settings = (
-        dataclasses.replace(ReportSettings.quick(), jobs=jobs, cache=cache,
-                            **sweep)
+        dataclasses.replace(ReportSettings.quick(), seed=args.seed,
+                            jobs=jobs, cache=cache, **sweep)
         if args.quick
         else ReportSettings(duration_s=args.duration, repeats=args.repeats,
                             seed=args.seed, jobs=jobs, cache=cache, **sweep)

@@ -16,10 +16,15 @@ vectorized matrix kernels (:meth:`PathModel.base_rtt_ms_arrays`,
 :func:`rtt_matrix_ms`) share one numpy core, so a matrix cell is
 bit-identical to the scalar RTT between the same endpoints — the contract
 the planet-scale placement optimizer relies on.
+
+:meth:`PathModel.one_way_ms` sits on the per-packet path (every packet
+crossing the core asks for it), so it is memoized on the model's delay
+parameters and the two endpoints; see :func:`_one_way_ms`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,6 +32,36 @@ import numpy as np
 
 from repro import calibration
 from repro.geo.coords import GeoPoint, haversine_km_arrays, latlon_arrays
+
+#: Endpoint pairs (per parameter set) kept by :func:`_one_way_ms`.  A
+#: simulated network asks for one per host pair it routes between: a
+#: seeded round of six spatial calls needs 24, the quick report 51.
+ONE_WAY_MEMO_SIZE = 1024
+
+
+def _propagation_rtt_ms(fiber_speed_mps: float, inflation: float,
+                        lat_a: np.ndarray, lon_a: np.ndarray,
+                        lat_b: np.ndarray, lon_b: np.ndarray) -> np.ndarray:
+    """The numpy core every propagation delay in this module comes from."""
+    path_m = haversine_km_arrays(lat_a, lon_a, lat_b, lon_b) * 1000.0 * inflation
+    return 2.0 * path_m / fiber_speed_mps * 1000.0
+
+
+@functools.lru_cache(maxsize=ONE_WAY_MEMO_SIZE)
+def _one_way_ms(fiber_speed_mps: float, inflation: float,
+                access_rtt_ms: float, a: GeoPoint, b: GeoPoint) -> float:
+    """Noise-free one-way delay as a pure function of what it depends on.
+
+    Keyed on the parameters, never on a :class:`PathModel`: the model is
+    mutable, and a memo keyed on the instance would keep serving the delay
+    of parameters it no longer has.
+    """
+    propagation = float(_propagation_rtt_ms(
+        fiber_speed_mps, inflation,
+        np.float64(a.lat), np.float64(a.lon),
+        np.float64(b.lat), np.float64(b.lon),
+    ))
+    return (access_rtt_ms + propagation) / 2.0
 
 
 @dataclass
@@ -103,7 +138,8 @@ class PathModel:
 
     def one_way_ms(self, a: GeoPoint, b: GeoPoint) -> float:
         """Noise-free one-way delay, in ms (half the base RTT)."""
-        return self.base_rtt_ms(a, b) / 2.0
+        return _one_way_ms(self.fiber_speed_mps, self.inflation,
+                           self.access_rtt_ms, a, b)
 
     # ------------------------------------------------------------------
     # vectorized kernels (bit-identical to the scalar entry points)
@@ -117,9 +153,8 @@ class PathModel:
         Broadcasts like a ufunc: ``(n, 1)`` vs ``(1, m)`` inputs yield the
         full n x m propagation matrix.
         """
-        path_m = (haversine_km_arrays(lat_a, lon_a, lat_b, lon_b)
-                  * 1000.0 * self.inflation)
-        return 2.0 * path_m / self.fiber_speed_mps * 1000.0
+        return _propagation_rtt_ms(self.fiber_speed_mps, self.inflation,
+                                   lat_a, lon_a, lat_b, lon_b)
 
     def base_rtt_ms_arrays(self, lat_a: np.ndarray, lon_a: np.ndarray,
                            lat_b: np.ndarray, lon_b: np.ndarray

@@ -56,7 +56,10 @@ def check_semantic_frame(frame: DecodedKeypointFrame,
     if not np.all(np.isfinite(frame.points)):
         raise ReconstructionError("frame contains non-finite keypoints")
     for group, index in SEMANTIC_GROUPS.items():
-        coverage = float(frame.visibility[index].mean())
+        visible = frame.visibility[index]
+        # Equal to float(visible.mean()) for a bool mask: both are the
+        # correctly rounded quotient of two small integers.
+        coverage = np.count_nonzero(visible) / visible.size
         if coverage < min_group_coverage:
             raise ReconstructionError(
                 f"semantic group {group!r} coverage {coverage:.0%} "

@@ -11,10 +11,23 @@ that surface:
   cipher keyed per connection: *not* cryptographically secure, but it makes
   the payload bytes opaque and incompressible like real TLS records), and
 - the first-byte invariants (RFC 8999) the protocol classifier keys on.
+
+The cipher runs once per datagram at the sender and once more at every
+receiver, so it is the costliest step on the spatial-persona packet path.
+Two things keep it cheap without moving a byte:
+
+- :func:`_keystream` is a pure function of ``(key, nonce, length)`` and is
+  memoized in a small LRU.  Every receiver of a sender's datagram holds a
+  connection with the same session secret and regenerates the keystream
+  the sender has just made, so each one after the first is a memo hit.
+  A hit returns the bytes a miss would compute, so no output can change.
+- :meth:`QuicConnection._xor` XORs the payload as one big integer instead
+  of byte by byte.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -85,15 +98,29 @@ def parse_header(data: bytes) -> QuicPacketHeader:
     return QuicPacketHeader(False, None, dcid, number)
 
 
+#: Keystream block input after the key: nonce (packet number), counter.
+_NONCE_COUNTER = struct.Struct("!QI")
+
+#: Keystreams kept by :func:`_keystream`.  Receivers unprotect a datagram
+#: soon after its sender protected it: on six seeded spatial calls, 256
+#: entries served 72% of calls and 2048 entries only 73%.
+KEYSTREAM_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=KEYSTREAM_MEMO_SIZE)
 def _keystream(key: bytes, nonce: int, length: int) -> bytes:
-    """Deterministic pseudo-random keystream (toy cipher, not secure)."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.sha256(key + struct.pack("!QI", nonce, counter)).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+    """Deterministic pseudo-random keystream (toy cipher, not secure).
+
+    Block ``i`` is ``sha256(key || nonce || i)``; the key's hash state is
+    computed once and copied for each 32-byte block.
+    """
+    prefix = hashlib.sha256(key)
+    blocks = []
+    for counter in range((length + 31) // 32):
+        block = prefix.copy()
+        block.update(_NONCE_COUNTER.pack(nonce, counter))
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
 
 
 class QuicConnection:
@@ -171,8 +198,10 @@ class QuicConnection:
         return self._xor(number, plaintext)
 
     def _xor(self, nonce: int, data: bytes) -> bytes:
-        stream = _keystream(self._secret, nonce, len(data))
-        return bytes(a ^ b for a, b in zip(data, stream))
+        length = len(data)
+        stream = _keystream(self._secret, nonce, length)
+        return (int.from_bytes(data, "big")
+                ^ int.from_bytes(stream, "big")).to_bytes(length, "big")
 
     def _next_number(self) -> int:
         number = self._packet_number

@@ -161,6 +161,15 @@ class SemanticSource:
     Pre-encodes a pool of captured frames (motion synthesis + semantic
     codec) and cycles it, so long sessions do not pay LZMA per frame while
     every datagram still carries a decodable payload.
+
+    Two memos downstream rely on this repetition, and neither can change
+    a byte: each is keyed on everything its value depends on.  The QUIC
+    keystream memo (:func:`repro.transport.quic._keystream`, keyed on
+    secret, packet number and length) serves every receiver the keystream
+    its sender just made.  The receiver's verdict memo
+    (:func:`repro.vca.receiver._reconstructible`, keyed on the plaintext
+    bytes) decodes each pool frame once, although it reaches every other
+    participant on every pass through the pool.
     """
 
     def __init__(

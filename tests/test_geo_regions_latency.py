@@ -5,7 +5,7 @@ import pytest
 
 from repro import calibration
 from repro.geo.coords import GeoPoint
-from repro.geo.latency import PathModel, rtt_ms
+from repro.geo.latency import ONE_WAY_MEMO_SIZE, PathModel, _one_way_ms, rtt_ms
 from repro.geo.regions import CITY_CATALOG, Region, all_clients, city, region_of
 from repro.geo.regions import test_clients as region_test_clients
 
@@ -93,3 +93,45 @@ class TestPathModel:
         model.seed(5)
         second = model.sample_rtt_ms(w, e, 10)
         assert np.array_equal(first, second)
+
+
+class TestOneWayDelayMemo:
+    """``one_way_ms`` is memoized; the memo must follow live parameters."""
+
+    W, E = city("san jose"), city("washington")
+
+    def assert_half_base(self, model):
+        value = model.one_way_ms(self.W, self.E)
+        assert value == model.base_rtt_ms(self.W, self.E) / 2.0
+        return value
+
+    def test_mutated_model_changes_its_delay(self):
+        model = PathModel()
+        default = self.assert_half_base(model)
+        model.inflation *= 1.5
+        inflated = self.assert_half_base(model)
+        assert inflated != default
+        model.access_rtt_ms += 7.0
+        slower = self.assert_half_base(model)
+        assert slower != inflated
+        model.fiber_speed_mps /= 2.0
+        assert self.assert_half_base(model) != slower
+
+    def test_spawned_clones_agree(self):
+        model = PathModel(access_rtt_ms=12.5)
+        model.inflation = 1.9
+        for clone in (model.spawn(), model.spawn(seed=3)):
+            assert clone.one_way_ms(self.W, self.E) == \
+                model.one_way_ms(self.W, self.E)
+            assert clone.one_way_ms(self.E, self.W) == \
+                model.one_way_ms(self.E, self.W)
+
+    def test_hits_return_the_computed_float(self):
+        _one_way_ms.cache_clear()
+        model = PathModel()
+        first = model.one_way_ms(self.W, self.E)
+        again = PathModel().one_way_ms(self.W, self.E)
+        info = _one_way_ms.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize == ONE_WAY_MEMO_SIZE
+        assert again == first == model.base_rtt_ms(self.W, self.E) / 2.0

@@ -115,6 +115,30 @@ class TestCliExecution:
         out = capsys.readouterr().out
         assert "Draco" in out and "keypoints" in out
 
+    @pytest.mark.parametrize("command", [["report"], ["reproduce", "--no-cache"]])
+    def test_quick_report_honours_seed(self, command, monkeypatch, capsys):
+        import repro.report
+        from repro.report import ReportSettings
+
+        built = []
+
+        def fake_generate_report(settings):
+            built.append(settings)
+            return "# report\n"
+
+        monkeypatch.setattr(repro.report, "generate_report",
+                            fake_generate_report)
+        assert main(command + ["--quick", "--seed", "7"]) == 0
+        assert main(command + ["--quick"]) == 0
+        capsys.readouterr()
+        seeded, default = built
+        quick = ReportSettings.quick()
+        assert seeded.seed == 7
+        assert default.seed == quick.seed == 0
+        for settings in built:
+            assert (settings.duration_s, settings.repeats) == (
+                quick.duration_s, quick.repeats)
+
 
 class TestReportSections:
     def test_table1_section_markdown(self):

@@ -1,5 +1,8 @@
 """Simplified QUIC and TCP-ping probing."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,8 +13,11 @@ from repro.netsim.node import Host
 from repro.transport.probing import TcpPingResponder, tcp_ping
 from repro.transport.quic import (
     CONNECTION_ID_BYTES,
+    KEYSTREAM_MEMO_SIZE,
     QUIC_MAX_PAYLOAD,
+    SHORT_HEADER_BYTES,
     QuicConnection,
+    _keystream,
     is_quic_datagram,
     parse_header,
 )
@@ -101,6 +107,93 @@ class TestQuicProtection:
             receiver.unprotect(d) for d in sender.protect_frame(frame)
         )
         assert rebuilt == frame
+
+
+def reference_keystream(key, nonce, length):
+    """The original per-byte keystream: the oracle for the fast cipher."""
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        block = hashlib.sha256(key + struct.pack("!QI", nonce, counter)).digest()
+        out.extend(block)
+        counter += 1
+    return bytes(out[:length])
+
+
+def reference_xor(key, nonce, data):
+    stream = reference_keystream(key, nonce, len(data))
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+LONG_HEADER_BYTES = 10 + CONNECTION_ID_BYTES
+CIPHER_LENGTHS = [0, 1, 31, 32, 33, QUIC_MAX_PAYLOAD, 2000]
+
+
+def sample_bytes(length):
+    return bytes((7 * i + 3) % 256 for i in range(length))
+
+
+class TestCipherMatchesReference:
+    """The memoized keystream and big-int XOR against the per-byte cipher."""
+
+    @pytest.mark.parametrize("length", CIPHER_LENGTHS)
+    def test_keystream_bytes(self, length):
+        for nonce in (0, 1, 2**40):
+            assert _keystream(b"k" * 16, nonce, length) == \
+                reference_keystream(b"k" * 16, nonce, length)
+
+    @pytest.mark.parametrize("length", CIPHER_LENGTHS)
+    def test_xor_bytes(self, length):
+        conn = make_conn()
+        data = sample_bytes(length)
+        assert conn._xor(9, data) == reference_xor(b"s" * 16, 9, data)
+
+    @pytest.mark.parametrize("length", [n for n in CIPHER_LENGTHS if n])
+    def test_protect_unprotect_roundtrip(self, length):
+        sender = make_conn()
+        receiver = make_conn()
+        frame = sample_bytes(length)
+        datagrams = sender.protect_frame(frame)
+        for datagram in datagrams:
+            number = parse_header(datagram).packet_number
+            chunk = frame[number * QUIC_MAX_PAYLOAD:
+                          (number + 1) * QUIC_MAX_PAYLOAD]
+            assert datagram[SHORT_HEADER_BYTES:] == \
+                reference_xor(b"s" * 16, number, chunk)
+        assert b"".join(receiver.unprotect(d) for d in datagrams) == frame
+
+    def test_long_header_packets(self):
+        conn = make_conn()
+        for packet, size in ((conn.initial_packet(), 512),
+                             (conn.handshake_packet(), 256)):
+            number = parse_header(packet).packet_number
+            assert packet[LONG_HEADER_BYTES:] == \
+                reference_xor(b"s" * 16, number, bytes(size))
+            assert make_conn().unprotect(packet) == bytes(size)
+
+    def test_secrets_never_share_a_memo_entry(self):
+        _keystream.cache_clear()
+        frame = sample_bytes(100)
+        a = make_conn(secret=b"a" * 16).protect_frame(frame)[0]
+        b = make_conn(secret=b"b" * 16).protect_frame(frame)[0]
+        assert _keystream.cache_info().currsize == 2
+        assert a[SHORT_HEADER_BYTES:] == reference_xor(b"a" * 16, 0, frame)
+        assert b[SHORT_HEADER_BYTES:] == reference_xor(b"b" * 16, 0, frame)
+        assert make_conn(secret=b"b" * 16).unprotect(a) != frame
+
+    def test_receiver_hits_the_senders_keystream(self):
+        _keystream.cache_clear()
+        datagram = make_conn().protect_frame(sample_bytes(500))[0]
+        make_conn().unprotect(datagram)
+        info = _keystream.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize == KEYSTREAM_MEMO_SIZE
+
+    @given(st.binary(max_size=64), st.integers(0, 2**64 - 1),
+           st.binary(max_size=2100))
+    def test_xor_property(self, key, nonce, data):
+        conn = QuicConnection(b"conn0001", key)
+        assert conn._xor(nonce, data) == reference_xor(key, nonce, data)
 
 
 class TestTcpPing:

@@ -199,3 +199,93 @@ class TestReceiverAccounting:
         receiver.handle(audio)
         assert receiver.other_packets == 1
         assert receiver.stats == {}
+
+
+class TestReconstructibleMemo:
+    """The receiver's per-plaintext memo against the uncached decode."""
+
+    SENDER = "10.0.0.2"
+    SECRET = b"secret" * 4
+
+    @pytest.fixture(scope="class")
+    def payloads(self):
+        import lzma
+
+        import numpy as np
+
+        from repro.keypoints.codec import _HEADER, _LZMA_FILTERS, SemanticCodec
+        from repro.keypoints.motion import MotionSynthesizer
+
+        codec = SemanticCodec()
+        frame = next(iter(MotionSynthesizer(fps=90.0, seed=0).frames(1)))
+        no_mouth = np.ones(calibration.SEMANTIC_KEYPOINTS_TOTAL, dtype=bool)
+        no_mouth[12:32] = False
+        short_body = _HEADER.pack(0, 0.0, calibration.SEMANTIC_KEYPOINTS_TOTAL)
+        return {
+            "valid": codec.encode(frame, include_confidence=False).payload,
+            "truncated": lzma.compress(short_body + bytes(40),
+                                       format=lzma.FORMAT_RAW,
+                                       filters=_LZMA_FILTERS),
+            "corrupt": b"\xff" * 40,
+            "missing-group": codec.encode(frame, visibility=no_mouth,
+                                          include_confidence=False).payload,
+        }
+
+    @staticmethod
+    def uncached(plaintext):
+        """Decode-and-check without the memo: True, False or "error"."""
+        from repro.keypoints.codec import EncodedKeypointFrame, SemanticCodec
+        from repro.keypoints.reconstruct import frame_is_reconstructible
+
+        try:
+            decoded = SemanticCodec().decode(EncodedKeypointFrame(plaintext))
+        except ValueError:
+            return "error"
+        return frame_is_reconstructible(decoded)
+
+    @staticmethod
+    def memoized(plaintext):
+        from repro.vca.receiver import _reconstructible
+
+        try:
+            return _reconstructible(plaintext)
+        except ValueError:
+            return "error"
+
+    def deliver(self, receiver, payload):
+        from repro.netsim.packet import IPPROTO_UDP, Packet
+        from repro.vca.media import quic_connection_for
+
+        conn = quic_connection_for(self.SENDER, self.SECRET)
+        (datagram,) = conn.protect_frame(payload)
+        receiver.handle(Packet(self.SENDER, "10.0.1.2", 1, 2, IPPROTO_UDP,
+                               datagram, meta={"kind": "semantic"}))
+
+    def test_memo_agrees_with_uncached_decode(self, payloads):
+        from repro.vca.receiver import _reconstructible
+
+        expected = {"valid": True, "truncated": "error", "corrupt": "error",
+                    "missing-group": False}
+        _reconstructible.cache_clear()
+        for _ in range(2):  # the second pass is served by the memo
+            for name, payload in payloads.items():
+                assert self.uncached(payload) == expected[name], name
+                assert self.memoized(payload) == expected[name], name
+        info = _reconstructible.cache_info()
+        assert (info.currsize, info.hits) == (2, 2)  # errors are not kept
+
+    @pytest.mark.parametrize("name, reconstructed, failed", [
+        ("valid", 2, 0), ("truncated", 0, 2), ("corrupt", 0, 2),
+        ("missing-group", 0, 2),
+    ])
+    def test_every_arrival_is_counted(self, payloads, name, reconstructed,
+                                      failed):
+        from repro.vca.receiver import SemanticReceiver
+
+        receiver = SemanticReceiver(self.SECRET, clock=lambda: 1.0)
+        self.deliver(receiver, payloads[name])
+        self.deliver(receiver, payloads[name])
+        stats = receiver.stats[self.SENDER]
+        assert stats.frames_received == 2
+        assert (stats.frames_reconstructed, stats.frames_failed) == (
+            reconstructed, failed)
