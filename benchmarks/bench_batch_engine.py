@@ -1,4 +1,4 @@
-"""Bench: scalar event loop vs the struct-of-arrays cohort engine.
+"""Bench: scalar event loop vs the vectorized cohort engine.
 
 Runs the same media workload — N sessions, each clocking 90 Hz frame
 bursts through a drop-tail uplink and windowing the departed bytes —

@@ -1,14 +1,15 @@
-"""Vectorized multi-session cohort engine (struct-of-arrays event loop).
+"""Multi-session cohort engine: N sessions on one event loop.
 
 One :class:`BatchSimulator` advances *N independent sessions* ("lanes")
-through a single event loop.  The scalar :class:`~repro.netsim.engine.
-Simulator` keeps a binary heap and pays one heappush/heappop per event;
-the batch engine instead keeps its queue as **struct-of-arrays** — one
-``float64`` time array, one ``int64`` sequence array, and aligned callback
-/ handle lists — and restores order with a single vectorized
-``np.lexsort`` whenever freshly scheduled events would fire before the
-sorted arena's front.  Scheduling is an O(1) list append; sorting is
-amortized, batched, and runs in C.
+through a single event loop.  It fires from the same binary heap as the
+scalar :class:`~repro.netsim.engine.Simulator` — both inherit
+:class:`~repro.netsim.engine.EventQueue`, so lazy cancellation, compaction
+and the run loop exist once — and adds per-lane attribution on top.
+
+The cohort speed-up does not come from the queue.  It comes from
+:meth:`BatchSimulator.schedule_cohort`, which books one vectorized event
+against many lanes, and from the numpy service kernels below, which
+advance whole cohorts without per-packet Python callbacks.
 
 Equivalence contract (enforced by ``tests/test_batch_equivalence.py``):
 
@@ -24,9 +25,8 @@ Equivalence contract (enforced by ``tests/test_batch_equivalence.py``):
   are attributed **per lane**, not pooled into one global blob, and the
   aggregate equals the fold of the per-lane counters.
 
-On top of the exact event loop, the module provides the numpy kernels
-the cohort fast path and ``benchmarks/bench_batch_engine.py`` use to
-advance whole cohorts without per-packet Python callbacks:
+The numpy kernels that the cohort fast path and
+``benchmarks/bench_batch_engine.py`` use:
 
 * :func:`drop_tail_departures` — the scalar :class:`~repro.netsim.link.
   Link` admission/serialization recurrence over arrays (bit-exact,
@@ -38,24 +38,17 @@ advance whole cohorts without per-packet Python callbacks:
 * :func:`windowed_lane_bytes` — per-(lane, window) byte totals in one
   ``np.bincount``, the axis-wise reduction behind cohort throughput
   windows.
-
-Cancellation is lazy exactly like the scalar engine, with the same
-compaction policy: when cancelled entries outnumber live ones the arena
-and pending buffers are merged and filtered in one vectorized pass, so
-fault-heavy cohorts cannot grow the queue without bound.
 """
 
 from __future__ import annotations
 
+import heapq
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.netsim.engine import (
-    COMPACT_MIN_QUEUE,
-    EventHandle,
-    schedule_periodic,
-)
+from repro.netsim.engine import EventHandle, EventQueue, schedule_periodic
 from repro.obs import metrics as obs_metrics
 
 
@@ -84,45 +77,21 @@ class CohortHandle(EventHandle):
         self.lanes = lanes
 
 
-class BatchSimulator:
+class BatchSimulator(EventQueue):
     """Shared event loop advancing N independent lanes (sessions).
 
-    The queue is split into a time-sorted *arena* (struct-of-arrays,
-    walked by a cursor) and an unsorted *pending* buffer fed by
-    ``schedule``.  The loop fires from the arena and merges the pending
-    buffer in — one vectorized lexsort — only when a pending event would
-    fire before the arena front.  For media workloads, where callbacks
-    schedule a little ahead of now, this batches thousands of events per
-    sort.
+    Every event carries the lane (or, for a cohort event, the lanes) it
+    is booked against; scheduling, cancelling and firing update that
+    lane's counters and call its probe, if one is installed.
     """
 
     def __init__(self, n_lanes: int = 0) -> None:
-        self._now = 0.0
-        self._seq = 0
-        self._running = False
-        # Sorted arena (struct of arrays) + walk cursor.
-        self._at = np.empty(0, dtype=np.float64)
-        self._as = np.empty(0, dtype=np.int64)
-        self._ah: List[EventHandle] = []
-        self._acb: List[Callable[[], Any]] = []
-        self._cursor = 0
-        # Unsorted pending buffer (plain appends; merged lazily).
-        self._pt: List[float] = []
-        self._ps: List[int] = []
-        self._ph: List[EventHandle] = []
-        self._pcb: List[Callable[[], Any]] = []
-        self._pmin_time = float("inf")
-        self._cancelled_pending = 0
-        # Per-lane attribution (satellite: counters are not one global
-        # blob in batch mode).
+        super().__init__()
         self._scheduled: List[int] = []
         self._fired: List[int] = []
         self._cancelled: List[int] = []
         self._lane_high_water: List[int] = []
         self._lane_probes: Dict[int, Callable[[str, float, EventHandle], Any]] = {}
-        self.merges = 0
-        self.queue_high_water = 0
-        self._published: Dict[str, float] = {}
         for _ in range(n_lanes):
             self.add_lane()
 
@@ -151,13 +120,8 @@ class BatchSimulator:
         return LaneSimulator(self, index)
 
     # ------------------------------------------------------------------
-    # Clock and scheduling
+    # Scheduling
     # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds (shared by all lanes)."""
-        return self._now
 
     def schedule(self, lane: int, delay: float,
                  callback: Callable[[], Any]) -> BatchHandle:
@@ -177,7 +141,7 @@ class BatchSimulator:
         seq = self._seq
         self._seq = seq + 1
         handle = BatchHandle(time, seq, lane)
-        self._append_pending(time, seq, handle, callback)
+        self._push(time, callback, handle)
         self._scheduled[lane] += 1
         live = (self._scheduled[lane] - self._fired[lane]
                 - self._cancelled[lane])
@@ -195,7 +159,7 @@ class BatchSimulator:
 
         The callback runs once; scheduled/fired counters advance on every
         listed lane, so per-session accounting folds correctly even when
-        a whole cohort advances in one struct-of-arrays step.
+        a whole cohort advances in one vectorized step.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
@@ -208,85 +172,24 @@ class BatchSimulator:
         seq = self._seq
         self._seq = seq + 1
         handle = CohortHandle(time, seq, lanes_arr)
-        self._append_pending(time, seq, handle, callback)
+        self._push(time, callback, handle)
         for lane in lanes_arr.tolist():  # tolist: cheap Python ints
             self._scheduled[lane] += 1
         return handle
 
-    def _append_pending(self, time: float, seq: int, handle: EventHandle,
-                        callback: Callable[[], Any]) -> None:
-        self._pt.append(time)
-        self._ps.append(seq)
-        self._ph.append(handle)
-        self._pcb.append(callback)
-        if time < self._pmin_time:
-            self._pmin_time = time
-        depth = (len(self._at) - self._cursor) + len(self._pt)
-        if depth > self.queue_high_water:
-            self.queue_high_water = depth
+    def _push(self, time: float, callback: Callable[[], Any],
+              handle: EventHandle) -> None:
+        queue = self._queue
+        heapq.heappush(queue, (time, handle._seq, callback, handle))
+        if len(queue) > self.queue_high_water:
+            self.queue_high_water = len(queue)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Revoke a scheduled event before it fires (lazy, O(1))."""
-        if not handle.active:
+        if not self._revoke(handle):
             return False
-        handle._cancelled = True
-        self._cancelled_pending += 1
-        if isinstance(handle, CohortHandle):
-            for lane in handle.lanes.tolist():
-                self._cancelled[lane] += 1
-        else:
-            lane = handle.lane  # type: ignore[attr-defined]
-            self._cancelled[lane] += 1
-            if self._lane_probes:
-                probe = self._lane_probes.get(lane)
-                if probe is not None:
-                    probe("cancel", handle.time, handle)
-        depth = (len(self._at) - self._cursor) + len(self._pt)
-        if (self._cancelled_pending * 2 > depth
-                and depth >= COMPACT_MIN_QUEUE):
-            self._merge()
+        self._book(self._cancelled, "cancel", handle.time, handle)
         return True
-
-    # ------------------------------------------------------------------
-    # The struct-of-arrays queue
-    # ------------------------------------------------------------------
-
-    def _merge(self) -> None:
-        """Fold the pending buffer into the arena with one lexsort.
-
-        Also drops every cancelled entry (this doubles as the compaction
-        pass), so ordering keys are untouched and firing order is exactly
-        what lazy popping would have produced.
-        """
-        at = self._at[self._cursor:]
-        asq = self._as[self._cursor:]
-        ah = self._ah[self._cursor:]
-        acb = self._acb[self._cursor:]
-        if self._pt:
-            at = np.concatenate([at, np.asarray(self._pt, dtype=np.float64)])
-            asq = np.concatenate([asq, np.asarray(self._ps, dtype=np.int64)])
-            ah = ah + self._ph
-            acb = acb + self._pcb
-            self._pt, self._ps, self._ph, self._pcb = [], [], [], []
-            self._pmin_time = float("inf")
-        if self._cancelled_pending:
-            live = np.fromiter(
-                (not h._cancelled for h in ah), dtype=bool, count=len(ah)
-            )
-            if not live.all():
-                keep = np.flatnonzero(live)
-                at = at[keep]
-                asq = asq[keep]
-                ah = [ah[i] for i in keep]
-                acb = [acb[i] for i in keep]
-            self._cancelled_pending = 0
-        order = np.lexsort((asq, at))
-        self._at = at[order]
-        self._as = asq[order]
-        self._ah = [ah[i] for i in order]
-        self._acb = [acb[i] for i in order]
-        self._cursor = 0
-        self.merges += 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Fire events in global ``(time, seq)`` order.
@@ -295,53 +198,21 @@ class BatchSimulator:
         ``until`` the clock stops there and later events stay queued;
         without it the queue drains completely.
         """
-        if self._running:
-            raise RuntimeError("simulator is not reentrant")
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"cannot run until {until:.6f}, clock already at "
-                f"{self._now:.6f}"
-            )
-        self._running = True
-        probes = self._lane_probes
-        try:
-            while True:
-                if self._cursor >= len(self._at):
-                    if not self._pt:
-                        break
-                    self._merge()
-                    continue
-                if self._pt and self._pmin_time < self._at[self._cursor]:
-                    self._merge()
-                    continue
-                handle = self._ah[self._cursor]
-                if handle._cancelled:
-                    self._cursor += 1
-                    self._cancelled_pending -= 1
-                    continue
-                time = float(self._at[self._cursor])
-                if until is not None and time > until:
-                    break
-                callback = self._acb[self._cursor]
-                self._cursor += 1
-                self._now = time
-                handle._fired = True
-                if isinstance(handle, CohortHandle):
-                    for lane in handle.lanes.tolist():
-                        self._fired[lane] += 1
-                else:
-                    lane = handle.lane  # type: ignore[attr-defined]
-                    self._fired[lane] += 1
-                    if probes:
-                        probe = probes.get(lane)
-                        if probe is not None:
-                            probe("fire", time, handle)
-                callback()
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-            self._publish_metrics()
+        self._drain(until, partial(self._book, self._fired, "fire"))
+
+    def _book(self, counts: List[int], kind: str, time: float,
+              handle: EventHandle) -> None:
+        """Count one edge against the event's lanes; call the lane probe."""
+        if isinstance(handle, CohortHandle):
+            for lane in handle.lanes.tolist():
+                counts[lane] += 1
+        else:
+            lane = handle.lane  # type: ignore[attr-defined]
+            counts[lane] += 1
+            if self._lane_probes:
+                probe = self._lane_probes.get(lane)
+                if probe is not None:
+                    probe(kind, time, handle)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -362,18 +233,13 @@ class BatchSimulator:
         """Total cancellations across all lanes."""
         return sum(self._cancelled)
 
-    def pending_events(self) -> int:
-        """Live (non-cancelled) events still queued, all lanes."""
-        return ((len(self._at) - self._cursor) + len(self._pt)
-                - self._cancelled_pending)
-
     def lane_stats(self, lane: int) -> Dict[str, float]:
         """One lane's counters — same keys as ``Simulator.stats()``."""
         return {
             "events_scheduled": self._scheduled[lane],
             "events_fired": self._fired[lane],
             "events_cancelled": self._cancelled[lane],
-            "heap_compactions": self.merges,
+            "heap_compactions": self.heap_compactions,
             "queue_high_water": self._lane_high_water[lane],
             "sim_time_s": self._now,
         }
@@ -384,7 +250,7 @@ class BatchSimulator:
             "events_scheduled": self.events_scheduled,
             "events_fired": self.events_fired,
             "events_cancelled": self.events_cancelled,
-            "heap_compactions": self.merges,
+            "heap_compactions": self.heap_compactions,
             "queue_high_water": self.queue_high_water,
             "lanes": self.n_lanes,
             "sim_time_s": self._now,
@@ -392,19 +258,13 @@ class BatchSimulator:
 
     def _publish_metrics(self) -> None:
         """Flush counter deltas to the process metrics registry."""
-        totals = {
+        self._flush_counters({
             "netsim.batch.events_scheduled": self.events_scheduled,
             "netsim.batch.events_fired": self.events_fired,
             "netsim.batch.events_cancelled": self.events_cancelled,
-            "netsim.batch.merges": self.merges,
+            "netsim.batch.heap_compactions": self.heap_compactions,
             "netsim.batch.sim_time_s": self._now,
-        }
-        published = self._published
-        for name, total in totals.items():
-            moved = total - published.get(name, 0)
-            if moved:
-                obs_metrics.counter(name).inc(moved)
-        self._published = totals
+        })
         obs_metrics.gauge("netsim.batch.lanes").set_max(self.n_lanes)
         obs_metrics.gauge("netsim.batch.queue_high_water").set_max(
             self.queue_high_water
@@ -510,7 +370,7 @@ class LaneSimulator:
 
 
 # ----------------------------------------------------------------------
-# Vectorized service kernels (the struct-of-arrays fast path)
+# Vectorized service kernels (the cohort fast path)
 # ----------------------------------------------------------------------
 
 

@@ -19,6 +19,9 @@ cancelled entries outnumber live ones the queue is therefore *compacted*:
 one O(n) in-place rebuild that drops every cancelled entry and re-heapifies.
 Entries keep their ``(time, seq)`` ordering keys, so compaction can never
 change firing order, and the cost is amortized O(1) per cancellation.
+The heap, the lazy cancellation, the compaction and the run loop live in
+:class:`EventQueue`, which the multi-lane batch engine
+(:mod:`repro.netsim.batch`) shares rather than copies.
 
 The engine is also self-measuring: it keeps cheap built-in counters
 (events scheduled/fired/cancelled, compactions, queue-depth high-water
@@ -32,6 +35,7 @@ is one ``None`` check per event, held to < 2% loop overhead by
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
@@ -107,7 +111,119 @@ class EventHandle:
         return f"EventHandle(t={self.time:.6f}, {state})"
 
 
-class Simulator:
+class EventQueue:
+    """The binary heap both engines fire from.
+
+    Entries are ``(time, seq, callback, handle)`` tuples.  Sequence numbers
+    are unique and increase with scheduling, so ties break by insertion
+    order and callbacks are never compared.  This class owns everything the
+    scalar :class:`Simulator` and the batch engine
+    (:class:`repro.netsim.batch.BatchSimulator`) share: the clock, the
+    heap, lazy cancellation with compaction, the run loop and the delta
+    flush to the metrics registry.  Subclasses add their own handles,
+    counters and probes.
+    """
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: List[
+            Tuple[float, int, Callable[[], Any], EventHandle]
+        ] = []
+        self._seq = 0
+        self._running = False
+        self._cancelled_pending = 0
+        self.heap_compactions = 0
+        self.queue_high_water = 0
+        self._published: Dict[str, float] = {}
+
+    @property
+    def now(self) -> float:
+        """Current simulated time in seconds."""
+        return self._now
+
+    def _revoke(self, handle: EventHandle) -> bool:
+        """Mark ``handle`` cancelled, compacting when cancelled entries
+        outnumber live ones; False when it was no longer pending."""
+        if not handle.active:
+            return False
+        handle._cancelled = True
+        self._cancelled_pending += 1
+        if (self._cancelled_pending * 2 > len(self._queue)
+                and len(self._queue) >= COMPACT_MIN_QUEUE):
+            self._compact()
+        return True
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry and rebuild the heap in place.
+
+        In place (slice assignment) because :meth:`_drain` holds a local
+        reference to the queue list; ordering keys are untouched, so
+        firing order is exactly what lazy popping would have produced.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+        heapq.heapify(queue)
+        self._cancelled_pending = 0
+        self.heap_compactions += 1
+
+    def _drain(
+        self,
+        until: Optional[float],
+        on_fire: Optional[Callable[[float, EventHandle], Any]],
+    ) -> None:
+        """Fire events in ``(time, seq)`` order; ``on_fire(time, handle)``
+        (when given) runs just before each callback."""
+        if self._running:
+            raise RuntimeError("simulator is not reentrant")
+        if until is not None and until < self._now:
+            raise ValueError(
+                f"cannot run until {until:.6f}, clock already at "
+                f"{self._now:.6f}"
+            )
+        self._running = True
+        queue = self._queue  # compaction mutates in place, never rebinds
+        pop = heapq.heappop
+        try:
+            while queue:
+                time, _seq, callback, handle = queue[0]
+                if handle._cancelled:
+                    # Skip without touching the clock: a cancelled event
+                    # must leave no observable trace.
+                    pop(queue)
+                    self._cancelled_pending -= 1
+                    continue
+                if until is not None and time > until:
+                    break
+                pop(queue)
+                self._now = time
+                handle._fired = True
+                if on_fire is not None:
+                    on_fire(time, handle)
+                callback()
+            if until is not None and until > self._now:
+                self._now = until
+        finally:
+            self._running = False
+            self._publish_metrics()
+
+    def pending_events(self) -> int:
+        """Number of live (non-cancelled) events still queued."""
+        return len(self._queue) - self._cancelled_pending
+
+    def _publish_metrics(self) -> None:
+        raise NotImplementedError
+
+    def _flush_counters(self, totals: Dict[str, float]) -> None:
+        """Add each counter's growth since the last flush to the registry."""
+        published = self._published
+        for name, total in totals.items():
+            moved = total - published.get(name, 0)
+            if moved:
+                obs_metrics.counter(name).inc(moved)
+        self._published = totals
+
+
+class Simulator(EventQueue):
     """Event loop with a simulated clock measured in seconds.
 
     Attributes:
@@ -119,25 +235,11 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._queue: List[
-            Tuple[float, int, Callable[[], Any], EventHandle]
-        ] = []
-        self._seq = 0
-        self._running = False
-        self._cancelled_pending = 0
+        super().__init__()
         self.on_event: Optional[
             Callable[[str, float, EventHandle], Any]
         ] = None
         self.events_cancelled = 0
-        self.heap_compactions = 0
-        self.queue_high_water = 0
-        self._published: Dict[str, float] = {}
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_scheduled(self) -> int:
@@ -199,30 +301,12 @@ class Simulator:
             False when it had already fired or was already cancelled
             (cancelling twice is a harmless no-op).
         """
-        if not handle.active:
+        if not self._revoke(handle):
             return False
-        handle._cancelled = True
-        self._cancelled_pending += 1
         self.events_cancelled += 1
         if self.on_event is not None:
             self.on_event("cancel", handle.time, handle)
-        if (self._cancelled_pending * 2 > len(self._queue)
-                and len(self._queue) >= COMPACT_MIN_QUEUE):
-            self._compact()
         return True
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and rebuild the heap in place.
-
-        In place (slice assignment) because :meth:`run` holds a local
-        reference to the queue list; ordering keys are untouched, so
-        firing order is exactly what lazy popping would have produced.
-        """
-        queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
-        heapq.heapify(queue)
-        self._cancelled_pending = 0
-        self.heap_compactions += 1
 
     def schedule_every(
         self,
@@ -250,43 +334,8 @@ class Simulator:
             ValueError: If ``until`` lies before the current clock — time
                 cannot run backwards.
         """
-        if self._running:
-            raise RuntimeError("simulator is not reentrant")
-        if until is not None and until < self._now:
-            raise ValueError(
-                f"cannot run until {until:.6f}, clock already at "
-                f"{self._now:.6f}"
-            )
-        self._running = True
-        queue = self._queue  # compaction mutates in place, never rebinds
-        pop = heapq.heappop
         probe = self.on_event
-        try:
-            while queue:
-                time, _seq, callback, handle = queue[0]
-                if handle._cancelled:
-                    # Skip without touching the clock: a cancelled event
-                    # must leave no observable trace.
-                    pop(queue)
-                    self._cancelled_pending -= 1
-                    continue
-                if until is not None and time > until:
-                    break
-                pop(queue)
-                self._now = time
-                handle._fired = True
-                if probe is not None:
-                    probe("fire", time, handle)
-                callback()
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-            self._publish_metrics()
-
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._queue) - self._cancelled_pending
+        self._drain(until, None if probe is None else partial(probe, "fire"))
 
     def stats(self) -> Dict[str, float]:
         """The engine's built-in counters, as plain numbers."""
@@ -306,19 +355,13 @@ class Simulator:
         one session per sweep cell) aggregate into one process view; the
         per-event hot path never touches the registry.
         """
-        totals = {
+        self._flush_counters({
             "netsim.events_scheduled": self.events_scheduled,
             "netsim.events_fired": self.events_fired,
             "netsim.events_cancelled": self.events_cancelled,
             "netsim.heap_compactions": self.heap_compactions,
             "netsim.sim_time_s": self._now,
-        }
-        published = self._published
-        for name, total in totals.items():
-            moved = total - published.get(name, 0)
-            if moved:
-                obs_metrics.counter(name).inc(moved)
-        self._published = totals
+        })
         obs_metrics.gauge("netsim.queue_high_water").set_max(
             self.queue_high_water
         )

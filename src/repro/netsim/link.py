@@ -8,7 +8,8 @@ queue behind it, and the queue is drop-tail bounded in bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.netsim.engine import Simulator
@@ -97,16 +98,22 @@ class Link:
         if not self.up:
             self.stats.packets_dropped += 1
             return False
+        # backlog_bytes and serialization_delay, inlined: the same float
+        # expressions, once per packet on every hop.
         now = sim.now
-        if self.backlog_bytes(now) + packet.wire_bytes > self.queue_bytes:
+        busy_until = self._busy_until
+        wire = packet.wire_bytes
+        backlog = (int((busy_until - now) * self.rate_bps / 8.0)
+                   if busy_until > now else 0)
+        if backlog + wire > self.queue_bytes:
             self.stats.packets_dropped += 1
             return False
-        start = max(now, self._busy_until)
-        done = start + self.serialization_delay(packet)
+        done = max(now, busy_until) + wire * 8.0 / self.rate_bps
         self._busy_until = done
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.wire_bytes
-        sim.schedule_at(done + extra_delay, lambda: on_transmitted(packet))
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += wire
+        sim.schedule_at(done + extra_delay, partial(on_transmitted, packet))
         return True
 
     def utilization(self, now: float) -> float:

@@ -168,11 +168,6 @@ class Network:
         """The currently installed fault of an attachment, if any."""
         return self._attachments[address].fault
 
-    def is_blacked_out(self, address: str) -> bool:
-        """Whether the attachment currently drops all traffic."""
-        fault = self._attachments[address].fault
-        return fault is not None and fault.blackout
-
     def drop_inflight(self, address: str) -> int:
         """Revoke every core crossing currently headed to ``address``.
 

@@ -24,12 +24,13 @@ _HEADER = struct.Struct("<BIHH")  # kind, group id, index/k, payload length
 
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) < len(b):
-        a, b = b, a
-    out = bytearray(a)
-    for i, byte in enumerate(b):
-        out[i] ^= byte
-    return bytes(out)
+    """XOR two buffers, the shorter one zero-padded on the right.
+
+    One big-int XOR: read little-endian, the missing tail of the shorter
+    operand is the integer's absent high-order zero bytes.
+    """
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+            ).to_bytes(max(len(a), len(b)), "little")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.transport.fec import FecDecoder, FecEncoder, FecPacket
+from repro.transport.fec import FecDecoder, FecEncoder, FecPacket, _xor_bytes
 from repro.vca.jitterbuffer import (
     JitterBuffer,
     minimal_playout_delay_ms,
@@ -45,6 +45,36 @@ class TestFecFraming:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             FecPacket.parse(b"\x07" + b"\x00" * 16)
+
+
+def reference_xor(a, b):
+    """The per-byte XOR, shorter operand zero-padded on the right."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = bytearray(a)
+    for i, byte in enumerate(b):
+        out[i] ^= byte
+    return bytes(out)
+
+
+class TestXorBytes:
+    @pytest.mark.parametrize("length", [0, 1, 33, 1180])
+    def test_matches_per_byte_reference(self, length):
+        a = bytes((7 * i + 3) % 256 for i in range(length))
+        shorter_lengths = {0, 1, length // 2, length - 1, length}
+        for shorter in sorted(n for n in shorter_lengths if 0 <= n <= length):
+            b = bytes((11 * i + 200) % 256 for i in range(shorter))
+            assert _xor_bytes(a, b) == reference_xor(a, b)
+            assert _xor_bytes(b, a) == reference_xor(a, b)
+            assert len(_xor_bytes(a, b)) == length
+
+    def test_trailing_zero_bytes_survive(self):
+        assert _xor_bytes(b"\x01\x00\x00", b"\x01") == b"\x00\x00\x00"
+        assert _xor_bytes(b"", b"") == b""
+
+    @given(st.binary(max_size=300), st.binary(max_size=300))
+    def test_property_against_reference(self, a, b):
+        assert _xor_bytes(a, b) == reference_xor(a, b)
 
 
 class TestFecRecovery:

@@ -57,6 +57,36 @@ class TestPacket:
         assert make_packet().packet_id != make_packet().packet_id
 
 
+class TestCachedWireBytes:
+    """``wire_bytes`` is computed once at construction, never stale."""
+
+    @pytest.mark.parametrize("protocol,header", [
+        (IPPROTO_UDP, UDP_HEADER_BYTES), (IPPROTO_TCP, TCP_HEADER_BYTES),
+    ])
+    @pytest.mark.parametrize("size", [0, 1, 1180])
+    def test_new_and_copied_packets(self, protocol, header, size):
+        p = make_packet(b"x" * size, protocol=protocol)
+        assert p.wire_bytes == IPV4_HEADER_BYTES + header + size
+        forwarded = p.forward_to("10.0.0.3", 3000, "10.0.0.9", 3478)
+        assert forwarded.wire_bytes == IPV4_HEADER_BYTES + header + size
+        reply = p.reply_shell(b"pong")
+        assert reply.wire_bytes == IPV4_HEADER_BYTES + header + 4
+        assert p.reply_shell().wire_bytes == IPV4_HEADER_BYTES + header
+
+    def test_equality_and_repr_ignore_the_field(self):
+        p = make_packet(b"abc")
+        q = Packet(p.src, p.dst, p.src_port, p.dst_port, p.protocol,
+                   p.payload, packet_id=p.packet_id)
+        q.wire_bytes = -1  # a field outside compare cannot break equality
+        assert p == q
+        assert "wire_bytes" not in repr(p)
+        assert repr(p) == repr(q)
+
+    def test_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            Packet("a", "b", 1, 2, IPPROTO_UDP, b"", wire_bytes=10)
+
+
 class TestLink:
     def test_serialization_delay(self):
         link = Link(rate_bps=8e6)
@@ -101,6 +131,28 @@ class TestLink:
                       lambda p: times.append(sim.now), extra_delay=0.05)
         sim.run()
         assert times == [pytest.approx(0.051)]
+
+    def test_transmit_agrees_with_public_arithmetic(self):
+        """The inlined admission/serialization arithmetic in ``transmit``
+        equals ``backlog_bytes`` and ``serialization_delay`` exactly."""
+        sim = Simulator()
+        link = Link(rate_bps=3e6, queue_bytes=9000)
+        offers = [(i * 7e-4, b"x" * (100 + 97 * i % 1100)) for i in range(60)]
+        for at, payload in offers:
+            def offer(payload=payload):
+                packet = make_packet(payload)
+                backlog = link.backlog_bytes(sim.now)
+                expect_ok = backlog + packet.wire_bytes <= link.queue_bytes
+                expect_done = (max(sim.now, link._busy_until)
+                               + link.serialization_delay(packet))
+                ok = link.transmit(sim, packet, lambda p: None)
+                assert ok == expect_ok
+                if ok:
+                    assert link._busy_until == expect_done
+            sim.schedule_at(at, offer)
+        sim.run()
+        assert link.stats.packets_dropped > 0
+        assert link.stats.packets_sent > 0
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
